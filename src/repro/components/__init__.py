@@ -6,9 +6,16 @@ Importing this package attaches each component's embedded t-spec as its
 ``COMPONENTS`` and the component names in ``__all__`` are derived from the
 scan, never hand-maintained, so the scenario registry's builtin entries
 can be tested to cover exactly this set.
+
+The submodules are compiled with loop budgets (:mod:`repro.core.budget`),
+so the mutation sandbox bounds their loops without a tracer.
 """
 
-from .product import DATABASE, ProductDatabase, reset_database
+from ..core.budget import install_budgeted_package
+
+install_budgeted_package(__path__)
+
+from .product import DATABASE, ProductDatabase, reset_database  # noqa: E402
 from . import specs  # noqa: F401  (side effect: attach __tspec__)
 from .warehouse import WAREHOUSE_ASSEMBLY, WAREHOUSE_ROLES, build_warehouse_assembly
 from .specs import (

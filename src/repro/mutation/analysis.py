@@ -568,7 +568,7 @@ class MutationAnalysis:
         coverage = self.coverage_matrix()
         target_method = mutant.record.method_name
         mutant_class = self._builder(mutant)
-        guard = StepBudgetGuard(self._budget)
+        guard = StepBudgetGuard(self._budget, mutant_class)
         executor = TestExecutor(
             mutant_class,
             check_invariants=self._check_invariants,

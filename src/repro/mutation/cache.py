@@ -80,12 +80,14 @@ unreadable records.  Entries of *different* experiment configurations are
 all live — reverting a configuration change must keep hitting its old
 entries — so compaction never loses a verdict.
 
-**v3 migration.**  Fingerprint recipes hash :data:`CACHE_KEY_VERSION`
-(still 3), so v3 content addresses remain valid under the v4 store.  A
-lookup that misses the segment consults the legacy ``objects/``/
-``index/``/``triage/`` tree; a valid legacy entry counts as a hit and is
-transparently appended to the segment (read-side migration), a corrupt
-one as a ``corrupt`` miss.  Legacy files are never deleted or rewritten.
+**v3 migration.**  Fingerprint recipes hash :data:`CACHE_KEY_VERSION`.  It
+stayed 3 across the v3→v4 store rewrite, so v3 content addresses remained
+valid under the v4 store; it became 4 when the sandbox budget changed
+unit, which orphans every older entry.  A lookup that misses the segment
+consults the legacy ``objects/``/``index/``/``triage/`` tree; a valid
+legacy entry counts as a hit and is transparently appended to the segment
+(read-side migration), a corrupt one as a ``corrupt`` miss.  Legacy files
+are never deleted or rewritten.
 """
 
 from __future__ import annotations
@@ -111,9 +113,11 @@ if TYPE_CHECKING:  # imported lazily to keep cache <- analysis acyclic
 
 #: Version of the *fingerprint recipe* — part of every content address.
 #: Deliberately NOT bumped for the v3→v4 store rewrite: the addressing
-#: inputs are unchanged, so v3 entries stay addressable and the read-side
-#: migration is meaningful rather than vacuous.
-CACHE_KEY_VERSION = 3
+#: inputs were unchanged, so v3 entries stayed addressable.
+#: 4: the sandbox step budget counts loop iterations instead of traced
+#: line events, so verdicts (and kind-4 scenario records) computed under
+#: the old unit must never be replayed.
+CACHE_KEY_VERSION = 4
 
 #: Version of the *store layout* (record framing, entry payloads).
 #: v2: ``MutantOutcome`` grew ``cases_skipped`` and the experiment

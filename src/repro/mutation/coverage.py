@@ -141,6 +141,11 @@ class MethodCoverageTracer:
     bit-identical to an untraced run — and it sees every activation in the
     case's dynamic extent: direct test steps, intra-class sibling calls,
     invariant checks, teardown, and final-state capture.
+
+    Outer tools keep working: a Python-level profile hook is chained, not
+    replaced, and under a C-level profiler such as ``cProfile`` (whose hook
+    cannot be reinstalled from Python) the calls are recorded through
+    ``sys.settrace`` instead, chaining any outer trace hook.
     """
 
     def __init__(self, cut_class: type):
@@ -152,14 +157,23 @@ class MethodCoverageTracer:
     def tracing(self, case: "TestCase") -> Iterator[None]:
         hit = self._covered.setdefault(case.ident, set())
         method_by_code = self._method_by_code
+        previous = sys.getprofile()
+        if previous is not None and not callable(previous):
+            # A C-level profiler (cProfile) holds the profile hook; it cannot
+            # be called or reinstalled from Python, so leave it alone and
+            # observe calls through the trace hook instead.
+            with _tracing_calls(method_by_code, hit):
+                yield
+            return
 
-        def profiler(frame, event, arg):  # noqa: ARG001 — sys.setprofile API
+        def profiler(frame, event, arg):
+            if previous is not None:
+                previous(frame, event, arg)
             if event == "call":
                 name = method_by_code.get(frame.f_code)
                 if name is not None:
                     hit.add(name)
 
-        previous = sys.getprofile()
         sys.setprofile(profiler)
         try:
             yield
@@ -174,6 +188,25 @@ class MethodCoverageTracer:
                 for ident, methods in self._covered.items()
             },
         )
+
+
+@contextmanager
+def _tracing_calls(method_by_code: Mapping, hit: Set[str]) -> Iterator[None]:
+    """Record entered CUT methods through ``sys.settrace`` ``call`` events,
+    chaining any outer trace hook (whose per-frame hooks are kept)."""
+    outer = sys.gettrace()
+
+    def tracer(frame, event, arg):
+        name = method_by_code.get(frame.f_code)
+        if name is not None:
+            hit.add(name)
+        return outer(frame, event, arg) if outer is not None else None
+
+    sys.settrace(tracer)
+    try:
+        yield
+    finally:
+        sys.settrace(outer)
 
 
 def record_coverage(cut_class: type, suite: "TestSuite",

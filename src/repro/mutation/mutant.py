@@ -30,6 +30,12 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from ..core.budget import (
+    BUDGET_NAME,
+    LOOP_BUDGET,
+    budget_tree,
+    code_is_budgeted,
+)
 from ..core.errors import MutationError
 
 
@@ -77,8 +83,16 @@ class CompiledMutant:
         return self.record.method_name
 
     def build_class(self) -> type:
-        """A separate class: copy of the owner with the mutated method."""
+        """A separate class: copy of the owner with the mutated method.
+
+        The class is built to run, so a mutated method whose loops carry
+        no budget (generation compiles without the loop-budget pass) is
+        first recompiled with it, replacing :attr:`function`.
+        """
         if self._class_cache is None:
+            if not code_is_budgeted(self.function.__code__):
+                self.function = compile_mutant_function(self.record,
+                                                        self.owner)
             namespace = dict(self.owner.__dict__)
             namespace[self.record.method_name] = self.function
             namespace.pop("__dict__", None)
@@ -98,11 +112,13 @@ class CompiledMutant:
 
 
 def compile_mutant_function(record: Mutant, owner: type) -> Callable:
-    """Recompile a mutant's method from its recorded source.
+    """Recompile a mutant's method from its recorded source, to run it.
 
     The mutated source is executed in the owner's defining-module globals so
     imported helpers (contract checks, node classes) resolve exactly as they
-    did when the mutant was first generated.
+    did when the mutant was first generated.  It is compiled with the
+    loop-budget pass (:mod:`repro.core.budget`), so the sandbox can bound
+    its loops without a tracer.
     """
     try:
         module = ast.parse(record.mutated_source)
@@ -113,9 +129,11 @@ def compile_mutant_function(record: Mutant, owner: type) -> Callable:
     with warnings.catch_warnings():
         # Injected faults like `0 is None` trip SyntaxWarning by design.
         warnings.simplefilter("ignore", SyntaxWarning)
-        code = compile(module, filename=f"<mutant {record.ident}>", mode="exec")
+        code = compile(budget_tree(module),
+                       filename=f"<mutant {record.ident}>", mode="exec")
     defining_module = inspect.getmodule(owner)
     globals_dict: Dict = dict(vars(defining_module)) if defining_module else {}
+    globals_dict[BUDGET_NAME] = LOOP_BUDGET
     namespace: Dict = {}
     exec(code, globals_dict, namespace)  # noqa: S102 — mutant reconstruction
     try:

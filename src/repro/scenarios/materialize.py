@@ -9,21 +9,22 @@ embeds a content digest (see :mod:`repro.scenarios.genspec`), which makes
 materialization idempotent and lets concurrent runs share one workspace:
 the same recipe always lands on the same file with the same bytes.
 
-``sys.path`` is never touched.  The module is loaded by file path and
-registered in ``sys.modules`` under its canonical name; other processes
+``sys.path`` is never touched.  The module is loaded by file path, compiled
+with loop budgets (:mod:`repro.core.budget`), and registered in
+``sys.modules`` under its canonical name; other processes
 resolve the class through the pickling fallback in
 :mod:`repro.scenarios.runtime`.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import sys
 import tempfile
 from pathlib import Path
 from typing import Optional, Union
 
+from ..core.budget import load_budgeted_module
 from ..core.errors import GenerationError
 from .genspec import GeneratedComponent
 
@@ -81,20 +82,7 @@ def materialize(component: GeneratedComponent,
     module = sys.modules.get(component.module_name)
     if module is None:
         path = write_module(component, workspace)
-        spec = importlib.util.spec_from_file_location(
-            component.module_name, path
-        )
-        if spec is None or spec.loader is None:
-            raise GenerationError(
-                f"cannot import generated module from {path}"
-            )
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[component.module_name] = module
-        try:
-            spec.loader.exec_module(module)
-        except BaseException:
-            sys.modules.pop(component.module_name, None)
-            raise
+        module = load_budgeted_module(component.module_name, path)
     try:
         return getattr(module, component.class_name)
     except AttributeError:

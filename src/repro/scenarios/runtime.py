@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import copyreg
 import importlib
-import importlib.util
 import sys
 from typing import Tuple
+
+from ..core.budget import load_budgeted_module
 
 
 class GeneratedComponentMeta(type):
@@ -52,19 +53,9 @@ def load_generated_class(module_name: str, qualname: str, path: str) -> type:
         try:
             module = importlib.import_module(module_name)
         except ImportError:
-            spec = importlib.util.spec_from_file_location(module_name, path)
-            if spec is None or spec.loader is None:
-                raise ImportError(
-                    f"cannot load generated module {module_name!r} "
-                    f"from {path!r}"
-                )
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[module_name] = module
-            try:
-                spec.loader.exec_module(module)
-            except BaseException:
-                sys.modules.pop(module_name, None)
+            if not path:
                 raise
+            module = load_budgeted_module(module_name, path)
     target = module
     for part in qualname.split("."):
         target = getattr(target, part)

@@ -166,8 +166,8 @@ CRASH_SOURCE = (
     "    os._exit(23)\n"
 )
 
-#: A mutant that blocks in C-level sleeps: line events accumulate far too
-#: slowly for the step budget to matter, so only wall-clock observes it.
+#: A mutant that blocks in C-level sleeps: loop iterations accumulate far
+#: too slowly for the step budget to matter, so only wall-clock observes it.
 HANG_SOURCE = (
     "def FindMax(self):\n"
     "    import time\n"
